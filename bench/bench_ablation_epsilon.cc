@@ -48,9 +48,9 @@ int main() {
       FLOR_CHECK(overhead <= epsilon + 1e-9)
           << name << ": overhead exceeded epsilon";
 
-      sim::ClusterReplayOptions copts;
+      ReplaySpec copts;
       copts.run_prefix = "run";
-      copts.cluster.num_machines = 1;
+      copts.num_workers = 4;  // 1 x 4-GPU machine
       copts.costs = sim::PaperPlatformCosts();
       auto replay = sim::ClusterReplay(
           workloads::MakeWorkloadFactory(profile, workloads::kProbeInner),

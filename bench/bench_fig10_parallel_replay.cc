@@ -9,7 +9,7 @@
 // partitions, so 4 GPUs can at best reach (max segment / epochs) of vanilla
 // time (paper: 2/6 = 33%).
 //
-// Two engines run:
+// Three engines run:
 //   * simulated (sim::ClusterReplay) — paper-scale latencies on per-worker
 //     simulated clocks;
 //   * real (exec::ReplayExecutor) — the same partition plan on an actual
@@ -57,10 +57,9 @@ int main() {
     int64_t segments = 0;
     InitMode effective[2] = {InitMode::kWeak, InitMode::kStrong};
     for (int m = 0; m < 2; ++m) {
-      sim::ClusterReplayOptions copts;
+      ReplaySpec copts;
       copts.run_prefix = "run";
-      copts.cluster.num_machines = 1;
-      copts.cluster.instance = sim::kP3_8xLarge;
+      copts.num_workers = 4;  // 1 x 4-GPU machine
       copts.init_mode = m == 0 ? InitMode::kWeak : InitMode::kStrong;
       copts.costs = sim::PaperPlatformCosts();
       auto result = sim::ClusterReplay(factory, &fs, copts);
@@ -117,13 +116,12 @@ int main() {
   double single_thread_wall = 0;
   double speedup_at_4 = 0;
   for (int threads : {1, 2, 4}) {
-    exec::ReplayExecutorOptions xopts;
+    ReplaySpec xopts;
     xopts.run_prefix = "run";
-    xopts.num_threads = threads;
-    xopts.num_partitions = 4;  // the paper's 4 GPUs
+    xopts.num_workers = 4;  // the paper's 4 GPUs
     xopts.init_mode = InitMode::kWeak;
     xopts.costs = sim::PaperPlatformCosts();
-    exec::ReplayExecutor executor(&real_fs, xopts);
+    exec::ReplayExecutor executor(&real_fs, xopts, {threads});
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok)
@@ -172,16 +170,17 @@ int main() {
   double one_proc_wall = 0;
   double proc_speedup_at_4 = 0;
   for (int procs : {1, 2, 4}) {
-    exec::ProcessReplayExecutorOptions popts;
-    popts.run_prefix = "run";
-    popts.num_partitions = procs;
+    ReplaySpec spec;
+    spec.run_prefix = "run";
+    spec.num_workers = procs;
+    spec.init_mode = InitMode::kWeak;
+    spec.costs = sim::PaperPlatformCosts();
     // One pool slot per partition, as on a cluster with one node per
     // modeled GPU: the scheduler must not serialize device-bound
     // partitions behind this host's core count.
+    exec::ProcessReplayExecutorOptions popts;
     popts.max_concurrent_children = procs;
-    popts.init_mode = InitMode::kWeak;
-    popts.costs = sim::PaperPlatformCosts();
-    exec::ProcessReplayExecutor executor(&real_fs, popts);
+    exec::ProcessReplayExecutor executor(&real_fs, spec, popts);
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok)

@@ -25,10 +25,9 @@ sim::ClusterReplayResult BestOverPool(const ProgramFactory& factory,
   sim::ClusterReplayResult best;
   bool first = true;
   for (int machines = 1; machines <= 4; ++machines) {
-    sim::ClusterReplayOptions copts;
+    ReplaySpec copts;
     copts.run_prefix = "run";
-    copts.cluster.num_machines = machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
+    copts.num_workers = machines * sim::kP3_8xLarge.gpus;
     // Weak initialization: strong init would re-run every preceding
     // epoch's unskippable statements per worker, erasing the gains of
     // partial replay (the paper's scale-out runs use weak init, Fig. 13).

@@ -45,10 +45,9 @@ int main() {
 
   const int max_machines = bench::SmokeIters(4, 1);
   for (int machines = 1; machines <= max_machines; ++machines) {
-    sim::ClusterReplayOptions copts;
+    ReplaySpec copts;
     copts.run_prefix = "run";
-    copts.cluster.num_machines = machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
+    copts.num_workers = machines * sim::kP3_8xLarge.gpus;
     copts.init_mode = InitMode::kWeak;  // the paper's Fig. 13 uses weak
     copts.costs = sim::PaperPlatformCosts();
     auto result = sim::ClusterReplay(factory, &fs, copts);
@@ -96,13 +95,12 @@ int main() {
   std::string thread_logs;
   const int max_threads = bench::SmokeIters(8, 2);
   for (int threads = 1; threads <= max_threads; threads *= 2) {
-    exec::ReplayExecutorOptions xopts;
+    ReplaySpec xopts;
     xopts.run_prefix = "run";
-    xopts.num_threads = threads;
-    xopts.num_partitions = threads;  // scale-out: G grows with the pool
+    xopts.num_workers = threads;  // scale-out: G grows with the pool
     xopts.init_mode = InitMode::kWeak;
     xopts.costs = sim::PaperPlatformCosts();
-    exec::ReplayExecutor executor(&real_fs, xopts);
+    exec::ReplayExecutor executor(&real_fs, xopts, {threads});
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
@@ -137,15 +135,16 @@ int main() {
 
   double one_proc_wall = 0;
   for (int procs = 1; procs <= max_threads; procs *= 2) {
-    exec::ProcessReplayExecutorOptions popts;
-    popts.run_prefix = "run";
-    popts.num_partitions = procs;  // scale-out: one process per partition
+    ReplaySpec spec;
+    spec.run_prefix = "run";
+    spec.num_workers = procs;  // scale-out: one process per partition
+    spec.init_mode = InitMode::kWeak;
+    spec.costs = sim::PaperPlatformCosts();
     // One pool slot per partition (a cluster node per modeled GPU); the
     // elastic sweep below is where the pool shrinks under G.
+    exec::ProcessReplayExecutorOptions popts;
     popts.max_concurrent_children = procs;
-    popts.init_mode = InitMode::kWeak;
-    popts.costs = sim::PaperPlatformCosts();
-    exec::ProcessReplayExecutor executor(&real_fs, popts);
+    exec::ProcessReplayExecutor executor(&real_fs, spec, popts);
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);
@@ -188,13 +187,14 @@ int main() {
   double full_pool_wall = 0;
   for (int pool : {8, 4, 2}) {
     if (pool > elastic_parts) continue;  // smoke trims the sweep
+    ReplaySpec spec;
+    spec.run_prefix = "run";
+    spec.num_workers = elastic_parts;
+    spec.init_mode = InitMode::kWeak;
+    spec.costs = sim::PaperPlatformCosts();
     exec::ProcessReplayExecutorOptions popts;
-    popts.run_prefix = "run";
-    popts.num_partitions = elastic_parts;
     popts.max_concurrent_children = pool;
-    popts.init_mode = InitMode::kWeak;
-    popts.costs = sim::PaperPlatformCosts();
-    exec::ProcessReplayExecutor executor(&real_fs, popts);
+    exec::ProcessReplayExecutor executor(&real_fs, spec, popts);
     auto result = executor.Run(real_factory);
     FLOR_CHECK(result.ok()) << result.status().ToString();
     FLOR_CHECK(result->deferred.ok);

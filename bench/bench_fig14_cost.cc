@@ -57,10 +57,9 @@ int main() {
         bench::RunVanilla(&fs, profile, workloads::kProbeInner);
     const double serial_cost = sim::InstanceCost(sim::kP3_2xLarge, vanilla);
 
-    sim::ClusterReplayOptions copts;
+    ReplaySpec copts;
     copts.run_prefix = "run";
-    copts.cluster.num_machines = c.machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
+    copts.num_workers = c.machines * sim::kP3_8xLarge.gpus;
     copts.init_mode = InitMode::kWeak;
     copts.costs = sim::PaperPlatformCosts();
     auto result = sim::ClusterReplay(
@@ -150,10 +149,9 @@ int main() {
           nominal * fs.ListPrefix("s3/run/ckpt/").size();
       const double s3_monthly = S3MonthlyCost(bucket_bytes);
 
-      sim::ClusterReplayOptions copts;
+      ReplaySpec copts;
       copts.run_prefix = "run";
-      copts.cluster.num_machines = frontier_case.machines;
-      copts.cluster.instance = sim::kP3_8xLarge;
+      copts.num_workers = frontier_case.machines * sim::kP3_8xLarge.gpus;
       copts.init_mode = InitMode::kWeak;
       copts.costs = sim::PaperPlatformCosts();
       copts.bucket_prefix = "s3";

@@ -64,9 +64,9 @@ int main() {
   std::printf("== consequence for replay: sparse checkpoints bound "
               "parallelism ==\n");
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "runs/rte";
-  copts.cluster.num_machines = 1;  // 4 GPUs
+  copts.num_workers = 4;  // 4 GPUs
   copts.costs = sim::PaperPlatformCosts();
   auto result = sim::ClusterReplay(factory, &fs_adaptive, copts);
   FLOR_CHECK(result.ok()) << result.status().ToString();

@@ -49,10 +49,9 @@ int main() {
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
   const double vanilla = profile.VanillaSeconds();
   for (int machines = 1; machines <= 4; ++machines) {
-    sim::ClusterReplayOptions copts;
+    ReplaySpec copts;
     copts.run_prefix = "runs/rsnt";
-    copts.cluster.num_machines = machines;
-    copts.cluster.instance = sim::kP3_8xLarge;
+    copts.num_workers = machines * sim::kP3_8xLarge.gpus;
     copts.init_mode = InitMode::kWeak;
     copts.costs = sim::PaperPlatformCosts();
     auto result = sim::ClusterReplay(factory, &fs, copts);

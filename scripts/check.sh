@@ -67,6 +67,19 @@ if grep -rnE 'make_unique<CheckpointStore>|new CheckpointStore|CheckpointStore [
   echo "or go through flor::Connection (src/service/service.h)" >&2
   exit 1
 fi
+# What a partitioned replay replays is declared once, in flor::ReplaySpec
+# (src/flor/replay_plan.h); engine option structs carry runner knobs only.
+# Slicing the TierOptions base from one options struct into another is how
+# per-engine field copying starts, so only the two sanctioned conversions
+# may do it: ReplaySpec -> per-worker ReplayOptions (flor/replay_plan.cc)
+# and the connection tier -> ReplaySpec (service/session.cc).
+SLICE_ALLOW='src/flor/replay_plan\.cc|src/service/session\.cc'
+if grep -rn 'static_cast<TierOptions&>' src/ | grep -vE "^(${SLICE_ALLOW}):"; then
+  echo "error: TierOptions slice outside flor/replay_plan.cc and" >&2
+  echo "service/session.cc — put replay fields in flor::ReplaySpec instead" >&2
+  echo "of copying them between option structs" >&2
+  exit 1
+fi
 
 echo "== configure (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]}"

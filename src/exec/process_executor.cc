@@ -12,12 +12,14 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "env/result_file.h"
 #include "env/scratch.h"
+#include "serialize/frame.h"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -33,21 +35,16 @@ namespace {
 constexpr int kChildReplayFailed = 12;  // error file has the Status
 constexpr int kChildWriteFailed = 13;   // could not commit result/error
 
-double WallNowSeconds() {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Error-file payload: the failed Status as (code, message) sections, CRC
 /// framed like everything else in the scratch directory.
 std::string EncodeWorkerError(const Status& status) {
-  return EncodeResultSections(
+  return EncodeSections(
+      kResultFileTag,
       {StrCat(static_cast<int>(status.code())), status.message()});
 }
 
 Status DecodeWorkerError(const std::string& data) {
-  auto sections = DecodeResultSections(data);
+  auto sections = DecodeSections(kResultFileTag, data);
   if (!sections.ok() || sections->size() != 2)
     return Status::Corruption("worker error file is torn");
   int64_t code = 0;
@@ -61,8 +58,9 @@ Status DecodeWorkerError(const std::string& data) {
 }  // namespace
 
 ProcessReplayExecutor::ProcessReplayExecutor(
-    FileSystem* shared_fs, ProcessReplayExecutorOptions options)
-    : fs_(shared_fs), options_(std::move(options)) {}
+    FileSystem* shared_fs, ReplaySpec spec,
+    ProcessReplayExecutorOptions options)
+    : fs_(shared_fs), spec_(std::move(spec)), options_(std::move(options)) {}
 
 std::string ProcessReplayExecutor::ResultFileName(int worker_id,
                                                   int attempt) {
@@ -94,21 +92,15 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
 /// the parent's buffered state.
 [[noreturn]] void RunChild(int worker_id, int attempt, FileSystem* shared_fs,
                            const ProgramFactory& factory,
-                           const ClusterPlanOptions& plan,
+                           const ReplayOptions& worker,
                            const ProcessReplayExecutorOptions& options,
                            const std::string& scratch_path) {
   PosixFileSystem scratch_fs(scratch_path);
   if (options.child_before_session)
     options.child_before_session(worker_id, attempt);
 
-  auto run_worker = [&]() -> Result<ReplayResult> {
-    Env env(std::make_unique<WallClock>(), shared_fs);
-    FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-    ReplaySession session(&env, WorkerReplayOptions(plan, worker_id));
-    exec::Frame frame;
-    return session.Run(instance.program.get(), &frame);
-  };
-  Result<ReplayResult> result = run_worker();
+  Result<ReplayResult> result = ReplayWorker(
+      factory, shared_fs, std::make_unique<WallClock>(), worker);
 
   if (options.child_before_result_write)
     options.child_before_result_write(worker_id, attempt);
@@ -125,24 +117,82 @@ pid_t WaitPidRetry(pid_t pid, int* wstatus, int flags) {
   _exit(wrote.ok() ? kChildReplayFailed : kChildWriteFailed);
 }
 
-}  // namespace
+/// One forked attempt at a partition. `pidfd` (Linux) becomes readable
+/// when the child exits; -1 where pidfds are unavailable.
+struct LiveAttempt {
+  int worker = 0;
+  int attempt = 0;
+  bool speculative = false;
+  int pidfd = -1;
+};
 
-Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
-    const ProgramFactory& factory) {
-  const double wall_start = WallNowSeconds();
+int OpenPidFd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
+}
 
-  ClusterPlanOptions plan;
-  plan.run_prefix = options_.run_prefix;
-  plan.num_workers = options_.num_partitions > 0 ? options_.num_partitions
-                                                 : 1;
-  plan.init_mode = options_.init_mode;
-  plan.costs = options_.costs;
-  plan.sample_epochs = options_.sample_epochs;
-  static_cast<TierOptions&>(plan) = options_;  // bucket + bloom, one slice
+/// Blocks until one child in `running` exits and reaps exactly that
+/// child — never another thread's, so concurrent Runs in one process
+/// cannot steal each other's exit statuses. Polls the children's pidfds
+/// when every child has one; otherwise sweeps each pid with WNOHANG.
+/// Returns the reaped pid, or -1 with errno set.
+pid_t ReapOneOf(const std::map<pid_t, LiveAttempt>& running, int* wstatus) {
+  std::vector<pollfd> fds;
+  std::vector<pid_t> pids;
+  for (const auto& [pid, la] : running) {
+    if (la.pidfd < 0) break;
+    fds.push_back(pollfd{la.pidfd, POLLIN, 0});
+    pids.push_back(pid);
+  }
+  if (fds.size() == running.size()) {
+    for (;;) {
+      if (poll(fds.data(), fds.size(), -1) < 0) {
+        if (errno == EINTR) continue;
+        return -1;
+      }
+      for (size_t i = 0; i < fds.size(); ++i) {
+        if (fds[i].revents == 0) continue;
+        const pid_t got = WaitPidRetry(pids[i], wstatus, WNOHANG);
+        if (got != 0) return got;
+      }
+    }
+  }
+  for (;;) {
+    for (const auto& [pid, la] : running) {
+      (void)la;
+      const pid_t got = WaitPidRetry(pid, wstatus, WNOHANG);
+      if (got != 0) return got;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
-  FLOR_ASSIGN_OR_RETURN(const int active,
-                        PlanActiveWorkers(factory, fs_, plan));
+/// The fork-pool runner: a bounded pool of worker processes with per-
+/// partition retry and optional straggler speculation. Scheduler
+/// statistics land in `*out`.
+class ForkPoolRunner : public PartitionRunner {
+ public:
+  ForkPoolRunner(const ProcessReplayExecutorOptions& options,
+                 ProcessReplayExecutorResult* out)
+      : options_(options), out_(out) {}
 
+  Status Run(const ProgramFactory& factory, FileSystem* fs,
+             const std::vector<ReplayOptions>& workers,
+             const WorkerDone& done) override;
+
+ private:
+  const ProcessReplayExecutorOptions& options_;
+  ProcessReplayExecutorResult* out_;
+};
+
+Status ForkPoolRunner::Run(const ProgramFactory& factory, FileSystem* fs,
+                           const std::vector<ReplayOptions>& workers,
+                           const WorkerDone& done) {
+  const int active = static_cast<int>(workers.size());
   const int max_attempts = std::max(1, options_.max_attempts);
   int pool = options_.max_concurrent_children;
   if (pool <= 0) {
@@ -150,6 +200,8 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     pool = std::min(active, static_cast<int>(hw > 0 ? hw : 1));
   }
   pool = std::max(1, pool);
+  out_->pool_size = pool;
+  out_->processes_used = active;
 
   std::optional<ScratchDir> owned_scratch;
   std::string scratch_path = options_.scratch_dir;
@@ -168,11 +220,6 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     (void)scratch_fs.DeleteFile(stale);
 
   // ---- scheduler state ----------------------------------------------
-  struct LiveAttempt {
-    int worker = 0;
-    int attempt = 0;
-    bool speculative = false;
-  };
   std::map<pid_t, LiveAttempt> running;
   std::deque<int> ready;  // partitions awaiting a pool slot
   for (int w = 0; w < active; ++w) ready.push_back(w);
@@ -185,11 +232,6 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
   std::vector<bool> death_retried(static_cast<size_t>(active), false);
   std::vector<bool> speculated(static_cast<size_t>(active), false);
   int completed = 0;  // partitions committed or failed for good
-  int total_forks = 0;
-  int speculative_forks = 0;
-  int speculative_wins = 0;
-  int max_children = 0;
-  ReplayMerger merger;
 
   const auto terminal = [&](int w) {
     return committed_attempt[static_cast<size_t>(w)] > 0 ||
@@ -207,19 +249,22 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     for (const auto& [pid, la] : running)
       if (la.worker == w && pid != except) (void)kill(pid, SIGKILL);
   };
-  // Tear down every live child (fork/waitpid failure paths and the final
+  const auto forget = [&](std::map<pid_t, LiveAttempt>::iterator it) {
+    if (it->second.pidfd >= 0) close(it->second.pidfd);
+    return running.erase(it);
+  };
+  // Tear down every live child (fork/wait failure paths and the final
   // sweep that reaps speculation losers), EINTR-safe.
   const auto kill_and_reap_all = [&] {
     for (const auto& [pid, la] : running) {
       (void)la;
       (void)kill(pid, SIGKILL);
     }
-    for (const auto& [pid, la] : running) {
-      (void)la;
+    for (auto it = running.begin(); it != running.end();) {
       int ignored = 0;
-      (void)WaitPidRetry(pid, &ignored, 0);
+      (void)WaitPidRetry(it->first, &ignored, 0);
+      it = forget(it);
     }
-    running.clear();
   };
   const auto fork_attempt = [&](int w, bool speculative) -> Status {
     const int attempt = ++forks_per_partition[static_cast<size_t>(w)];
@@ -230,12 +275,15 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     if (pid < 0)
       return Status::IOError(
           StrCat("fork failed for replay partition ", w));
-    if (pid == 0)
-      RunChild(w, attempt, fs_, factory, plan, options_, scratch_path);
-    running.emplace(pid, LiveAttempt{w, attempt, speculative});
-    ++total_forks;
-    if (speculative) ++speculative_forks;
-    max_children = std::max(max_children, static_cast<int>(running.size()));
+    if (pid == 0) {
+      RunChild(w, attempt, fs, factory, workers[static_cast<size_t>(w)],
+               options_, scratch_path);
+    }
+    running.emplace(pid, LiveAttempt{w, attempt, speculative, OpenPidFd(pid)});
+    ++out_->total_forks;
+    if (speculative) ++out_->speculative_forks;
+    out_->max_observed_children = std::max(out_->max_observed_children,
+                                           static_cast<int>(running.size()));
     return Status::OK();
   };
   const auto record_failure = [&](int w, Status status) {
@@ -281,23 +329,22 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
       break;
     }
     int wstatus = 0;
-    const pid_t pid = WaitPidRetry(-1, &wstatus, 0);
+    const pid_t pid = ReapOneOf(running, &wstatus);
     if (pid < 0) {
       scheduler_error = Status::Internal(
           StrCat("waitpid failed: ", strerror(errno)));
       break;
     }
-    const auto it = running.find(pid);
-    if (it == running.end()) continue;  // not one of ours; status discarded
-    const LiveAttempt la = it->second;
-    running.erase(it);
+    const LiveAttempt la = running.at(pid);
+    forget(running.find(pid));
     const int w = la.worker;
 
     if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0) {
       // The attempt committed a result file. A losing speculative twin
       // that commits after the winner is ignored — first commit wins.
       if (terminal(w)) continue;
-      auto result_bytes = scratch_fs.ReadFile(ResultFileName(w, la.attempt));
+      auto result_bytes = scratch_fs.ReadFile(
+          ProcessReplayExecutor::ResultFileName(w, la.attempt));
       if (!result_bytes.ok()) {
         record_failure(w, Status(result_bytes.status().code(),
                                  "result file unreadable: " +
@@ -313,8 +360,8 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
       }
       committed_attempt[static_cast<size_t>(w)] = la.attempt;
       ++completed;
-      if (la.speculative) ++speculative_wins;
-      merger.Add(w, std::move(*decoded));
+      if (la.speculative) ++out_->speculative_wins;
+      done(w, std::move(*decoded));
       kill_other_attempts(w, pid);  // reaped (and ignored) by this loop
       continue;
     }
@@ -337,7 +384,8 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
     } else {
       const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
       if (code == kChildReplayFailed) {
-        auto err_bytes = scratch_fs.ReadFile(ErrorFileName(w, la.attempt));
+        auto err_bytes = scratch_fs.ReadFile(
+            ProcessReplayExecutor::ErrorFileName(w, la.attempt));
         cause = err_bytes.ok()
                     ? DecodeWorkerError(*err_bytes)
                     : Status::Internal("replay failed (error file missing)");
@@ -391,19 +439,23 @@ Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
                          " [surviving fragments in ", scratch_path, "]"));
   }
 
-  ProcessReplayExecutorResult result;
-  FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(result),
-                        merger.Finish(fs_, options_.run_prefix));
-  result.processes_used = active;
-  result.pool_size = pool;
-  result.total_forks = total_forks;
-  result.max_observed_children = max_children;
   for (const bool retried : death_retried)
-    result.retried_partitions += retried ? 1 : 0;
-  result.speculative_forks = speculative_forks;
-  result.speculative_wins = speculative_wins;
-  result.partition_attempts = std::move(forks_per_partition);
-  result.wall_seconds = WallNowSeconds() - wall_start;
+    out_->retried_partitions += retried ? 1 : 0;
+  out_->partition_attempts = std::move(forks_per_partition);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<ProcessReplayExecutorResult> ProcessReplayExecutor::Run(
+    const ProgramFactory& factory) {
+  const WallClock wall;
+  const double wall_start = wall.NowSeconds();
+  ProcessReplayExecutorResult result;
+  ForkPoolRunner runner(options_, &result);
+  FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(result),
+                        RunPartitionedReplay(factory, fs_, spec_, &runner));
+  result.wall_seconds = wall.NowSeconds() - wall_start;
   return result;
 }
 

@@ -1,13 +1,10 @@
 // Process-level parallel replay engine (the paper's flashback deployment:
 // one replay process per GPU/partition).
 //
-// The third engine over the shared plan (flor/replay_plan.h):
-//   * sim::ClusterReplay     — sequential workers, simulated clocks;
-//   * exec::ReplayExecutor   — worker threads, one address space;
-//   * exec::ProcessReplayExecutor — forked worker *processes*, true
-//     isolation: a worker that segfaults, leaks, or is OOM-killed takes
-//     down only its partition, exactly like a lost GPU node in the
-//     paper's cluster runs.
+// A PartitionRunner over the shared driver (flor/replay_plan.h) whose
+// workers are forked *processes*: true isolation, so a worker that
+// segfaults, leaks, or is OOM-killed takes down only its partition, exactly
+// like a lost GPU node in the paper's cluster runs.
 //
 // The executor is a small cluster scheduler, not a fork-all barrier: a
 // bounded pool of at most `max_concurrent_children` worker processes runs
@@ -22,20 +19,19 @@
 // attempt to commit wins, the loser is killed, reaped, and its file
 // ignored.
 //
-// Protocol: the parent plans partitions (the same PlanActiveWorkers every
-// engine uses) and forks worker processes as described above. Each child
-// runs its ReplaySession against the shared record artifacts and writes
-// its merged-log fragment plus per-worker stats to a length-prefixed,
-// CRC-framed result file (env/result_file.h) in a posix scratch directory
-// — atomically, so a child killed mid-write leaves either nothing or a
-// torn file that fails to parse, never a silently mergeable garbage
-// fragment. The parent reaps children as they exit (EINTR-safe
-// waitpid(-1)), maps death (nonzero exit or signal) into retry-or-fail per
-// partition without touching surviving fragments, decodes committed
-// fragments (flor::DecodeWorkerResult) in completion order, and merges
-// them via the same ReplayMerger as the other two engines — merging is
-// order-insensitive, so the merged replay log is byte-identical to both
-// no matter how out-of-order partitions complete or how often they retry.
+// Protocol: each child runs its planned worker against the shared record
+// artifacts and writes its merged-log fragment plus per-worker stats to a
+// CRC-framed result file (flor::kResultFileTag envelope,
+// serialize/frame.h) in a posix scratch directory — atomically, so a child
+// killed mid-write leaves either nothing or a torn file that fails to
+// parse, never a silently mergeable garbage fragment. The parent reaps
+// exactly its own children as they exit (by pid: pidfd + poll on Linux, a
+// per-pid WNOHANG sweep elsewhere), maps death (nonzero exit or signal)
+// into retry-or-fail per partition without touching surviving fragments,
+// and hands decoded fragments (flor::DecodeWorkerResult) to the driver in
+// completion order — merging is order-insensitive, so the merged replay
+// log is byte-identical to the other engines however partitions complete
+// or retry.
 //
 // The shared FileSystem must be readable in the children: PosixFileSystem
 // shares the on-disk record run across processes; MemFileSystem works too
@@ -56,22 +52,10 @@
 namespace flor {
 namespace exec {
 
-/// Process-engine configuration. The read-tier fields (bucket
-/// fall-through, bloom filters) come from the shared TierOptions base
-/// (checkpoint/store.h) and are sliced into the cluster plan, so every
-/// forked child's store sees them.
-struct ProcessReplayExecutorOptions : TierOptions {
-  std::string run_prefix = "run";
-  /// Log partitions (the paper's G); one worker process replays each
-  /// partition. The planner may clamp to fewer when checkpoints are
-  /// sparse.
-  int num_partitions = 4;
-  InitMode init_mode = InitMode::kStrong;
-  /// Carried for parity with the other engines (only charged under
-  /// simulated clocks; wall-clock restores are simply measured).
-  MaterializerCosts costs;
-  /// Non-empty selects iteration-sampling replay on a single worker.
-  std::vector<int64_t> sample_epochs;
+/// Fork-runner knobs: where result files go and how the pool schedules,
+/// retries and speculates. What the partitions replay (and how many there
+/// are) is the ReplaySpec.
+struct ProcessReplayExecutorOptions {
   /// Directory for worker result files. Empty: a fresh mkdtemp scratch
   /// directory, removed after the run. Non-empty: used as-is (created if
   /// missing, stale worker files cleared, left in place afterwards) so
@@ -136,17 +120,21 @@ struct ProcessReplayExecutorResult : MergedClusterReplay {
 
 /// Runs partitioned hindsight replay on forked worker processes. Single-
 /// use per Run call; the executor itself holds no per-run state. Fork
-/// happens on the calling thread — do not call with unrelated threads
-/// live in the parent (the engines' usual single-coordinator discipline).
-/// Run reaps with waitpid(-1): it must not race another wait loop in the
-/// same process (statuses of unrelated children reaped here are
-/// discarded).
+/// happens on the calling thread. Run waits only for the children it
+/// forked, so several Runs may proceed at once from different threads of
+/// one process (e.g. concurrent procs replays through one flor::Server),
+/// and other wait loops in the process are left alone. Children replay on
+/// a single thread, so locks other parent threads hold at fork time are
+/// never taken in the child beyond what the replay itself touches; a
+/// shared FileSystem used concurrently must therefore be one whose calls
+/// do not hold a lock across fork (PosixFileSystem).
 class ProcessReplayExecutor {
  public:
-  /// Does not own `shared_fs` (see file comment for cross-process
-  /// visibility requirements).
-  ProcessReplayExecutor(FileSystem* shared_fs,
-                        ProcessReplayExecutorOptions options);
+  /// Replays `spec` on `shared_fs`. Does not own `shared_fs` (see file
+  /// comment for cross-process visibility requirements).
+  ProcessReplayExecutor(
+      FileSystem* shared_fs, ReplaySpec spec,
+      ProcessReplayExecutorOptions options = ProcessReplayExecutorOptions());
 
   /// Plans partitions, schedules worker processes over the bounded pool
   /// (retrying dead workers up to the attempt budget), merges, deferred-
@@ -167,6 +155,7 @@ class ProcessReplayExecutor {
 
  private:
   FileSystem* fs_;
+  ReplaySpec spec_;
   ProcessReplayExecutorOptions options_;
 };
 

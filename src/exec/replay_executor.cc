@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <mutex>
 #include <thread>
-
-#include "common/strings.h"
 
 namespace flor {
 namespace exec {
@@ -34,12 +31,6 @@ struct TaskDeque {
     return true;
   }
 };
-
-double WallNowSeconds() {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -90,64 +81,58 @@ WorkStealingPool::Stats WorkStealingPool::Run(
   return stats;
 }
 
-ReplayExecutor::ReplayExecutor(FileSystem* shared_fs,
+namespace {
+
+/// One task per partition on the work-stealing pool. Every worker owns its
+/// clock, program instance and log stream; the only shared object is the
+/// (thread-safe) filesystem. Outcomes are reported after the pool joins;
+/// pool statistics land in `*out`.
+class ThreadPoolRunner : public PartitionRunner {
+ public:
+  ThreadPoolRunner(int num_threads, ReplayExecutorResult* out)
+      : num_threads_(num_threads), out_(out) {}
+
+  Status Run(const ProgramFactory& factory, FileSystem* fs,
+             const std::vector<ReplayOptions>& workers,
+             const WorkerDone& done) override {
+    std::vector<Result<ReplayResult>> slots(
+        workers.size(), Status::Internal("worker never ran"));
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(workers.size());
+    for (size_t w = 0; w < workers.size(); ++w) {
+      tasks.push_back([&factory, fs, &workers, &slots, w] {
+        slots[w] = ReplayWorker(factory, fs, std::make_unique<WallClock>(),
+                                workers[w]);
+      });
+    }
+    out_->steals = WorkStealingPool::Run(num_threads_, tasks).steals;
+    out_->threads_used =
+        std::min(num_threads_, static_cast<int>(workers.size()));
+    for (size_t w = 0; w < workers.size(); ++w)
+      done(static_cast<int>(w), std::move(slots[w]));
+    return Status::OK();
+  }
+
+ private:
+  const int num_threads_;
+  ReplayExecutorResult* out_;
+};
+
+}  // namespace
+
+ReplayExecutor::ReplayExecutor(FileSystem* shared_fs, ReplaySpec spec,
                                ReplayExecutorOptions options)
-    : fs_(shared_fs), options_(std::move(options)) {}
+    : fs_(shared_fs), spec_(std::move(spec)), options_(options) {}
 
 Result<ReplayExecutorResult> ReplayExecutor::Run(
     const ProgramFactory& factory) {
-  const double wall_start = WallNowSeconds();
-
-  ClusterPlanOptions plan;
-  plan.run_prefix = options_.run_prefix;
-  plan.num_workers = options_.num_partitions > 0 ? options_.num_partitions
-                                                 : options_.num_threads;
-  plan.init_mode = options_.init_mode;
-  plan.costs = options_.costs;
-  plan.sample_epochs = options_.sample_epochs;
-  static_cast<TierOptions&>(plan) = options_;  // bucket + bloom, one slice
-
-  FLOR_ASSIGN_OR_RETURN(const int active,
-                        PlanActiveWorkers(factory, fs_, plan));
-
-  // One task per partition. Every worker owns its clock, program instance,
-  // and log stream; the only shared object is the (thread-safe) filesystem.
-  std::vector<Result<ReplayResult>> slots(
-      static_cast<size_t>(active), Status::Internal("worker never ran"));
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<size_t>(active));
-  for (int w = 0; w < active; ++w) {
-    tasks.push_back([this, &factory, &plan, &slots, w] {
-      auto run_worker = [&]() -> Result<ReplayResult> {
-        Env env(std::make_unique<WallClock>(), fs_);
-        FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-        ReplaySession session(&env, WorkerReplayOptions(plan, w));
-        exec::Frame frame;
-        return session.Run(instance.program.get(), &frame);
-      };
-      slots[static_cast<size_t>(w)] = run_worker();
-    });
-  }
-
-  const WorkStealingPool::Stats pool_stats =
-      WorkStealingPool::Run(options_.num_threads, tasks);
-
-  ReplayMerger merger;
-  for (int w = 0; w < active; ++w) {
-    Result<ReplayResult>& slot = slots[static_cast<size_t>(w)];
-    if (!slot.ok()) {
-      return Status(slot.status().code(),
-                    StrCat("replay worker ", w, ": ",
-                           slot.status().message()));
-    }
-    merger.Add(w, std::move(slot).value());
-  }
+  const WallClock wall;
+  const double wall_start = wall.NowSeconds();
   ReplayExecutorResult result;
+  ThreadPoolRunner runner(options_.num_threads, &result);
   FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(result),
-                        merger.Finish(fs_, options_.run_prefix));
-  result.threads_used = std::min(options_.num_threads, active);
-  result.steals = pool_stats.steals;
-  result.wall_seconds = WallNowSeconds() - wall_start;
+                        RunPartitionedReplay(factory, fs_, spec_, &runner));
+  result.wall_seconds = wall.NowSeconds() - wall_start;
   return result;
 }
 

@@ -3,10 +3,11 @@
 //
 // The executor runs one ReplaySession per log partition on N worker
 // threads, work-stealing over the partitions, against a shared thread-safe
-// FileSystem and the wall clock. Partition planning and log merging are the
-// exact same code the simulated engine uses (flor/replay_plan.h), so the
-// merged replay log is byte-identical to a single-thread run and to the
-// simulated engine — only the latency is measured instead of modeled.
+// FileSystem and the wall clock. It is a PartitionRunner over the shared
+// driver (flor/replay_plan.h): partition planning and log merging are the
+// exact code the simulated engine runs, so the merged replay log is
+// byte-identical to a single-thread run and to the simulated engine — only
+// the latency is measured instead of modeled.
 //
 // Worker sessions never synchronize with each other (hindsight replay is
 // embarrassingly parallel): each builds its own program instance, owns its
@@ -19,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "flor/replay_plan.h"
@@ -45,24 +45,12 @@ class WorkStealingPool {
                    const std::vector<std::function<void()>>& tasks);
 };
 
-/// Real-engine configuration. The read-tier fields (bucket fall-through,
-/// bloom filters) come from the shared TierOptions base
-/// (checkpoint/store.h) and are sliced into the cluster plan, so every
-/// worker's store sees them.
-struct ReplayExecutorOptions : TierOptions {
-  std::string run_prefix = "run";
+/// Thread-runner knobs: only the pool size. The partition count G is the
+/// spec's num_workers and may exceed num_threads: threads then steal the
+/// surplus partitions.
+struct ReplayExecutorOptions {
   /// Worker threads in the pool.
   int num_threads = 4;
-  /// Log partitions (the paper's G). 0 = one per thread. May exceed
-  /// num_threads: threads then steal the surplus partitions.
-  int num_partitions = 0;
-  InitMode init_mode = InitMode::kStrong;
-  /// Restore-cost model, carried for parity with the simulated engine (it
-  /// is only charged under simulated clocks; wall-clock restores are simply
-  /// measured).
-  MaterializerCosts costs;
-  /// Non-empty selects iteration-sampling replay on a single worker.
-  std::vector<int64_t> sample_epochs;
 };
 
 /// Outcome of a real parallel replay: the engine-agnostic merge (latency,
@@ -82,9 +70,10 @@ struct ReplayExecutorResult : MergedClusterReplay {
 /// Run call; the executor itself holds no per-run state.
 class ReplayExecutor {
  public:
-  /// Does not own `shared_fs`, which must be thread-safe (all flor
-  /// FileSystem implementations are).
-  ReplayExecutor(FileSystem* shared_fs, ReplayExecutorOptions options);
+  /// Replays `spec` on `shared_fs`. Does not own `shared_fs`, which must
+  /// be thread-safe (all flor FileSystem implementations are).
+  ReplayExecutor(FileSystem* shared_fs, ReplaySpec spec,
+                 ReplayExecutorOptions options = ReplayExecutorOptions());
 
   /// Plans partitions, replays them on the pool, merges, deferred-checks.
   /// `factory` is invoked once per worker, on the worker's thread; it must
@@ -94,6 +83,7 @@ class ReplayExecutor {
 
  private:
   FileSystem* fs_;
+  ReplaySpec spec_;
   ReplayExecutorOptions options_;
 };
 

@@ -5,10 +5,11 @@
 #include <map>
 #include <set>
 
+#include "common/logging.h"
 #include "common/strings.h"
-#include "env/result_file.h"
 #include "flor/instrument.h"
 #include "flor/partition.h"
+#include "serialize/frame.h"
 
 namespace flor {
 
@@ -37,7 +38,7 @@ std::vector<int64_t> CheckpointBoundaryEpochs(ir::Program* program,
 
 Result<int> PlanActiveWorkers(const ProgramFactory& factory,
                               const FileSystem* fs,
-                              const ClusterPlanOptions& options) {
+                              const ReplaySpec& options) {
   if (!options.sample_epochs.empty()) return 1;
   if (options.num_workers <= 1) return 1;
 
@@ -63,7 +64,7 @@ Result<int> PlanActiveWorkers(const ProgramFactory& factory,
 
 Result<std::vector<int64_t>> PlannedRestoreEpochs(
     const ProgramFactory& factory, const FileSystem* fs,
-    const ClusterPlanOptions& options) {
+    const ReplaySpec& options) {
   FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
   InstrumentProgram(instance.program.get());
   ir::Loop* main_loop = instance.program->MainLoop();
@@ -106,7 +107,7 @@ Result<std::vector<int64_t>> PlannedRestoreEpochs(
   return std::vector<int64_t>(restore.begin(), restore.end());
 }
 
-ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
+ReplayOptions WorkerReplayOptions(const ReplaySpec& options,
                                   int worker_id) {
   ReplayOptions ropts;
   ropts.run_prefix = options.run_prefix;
@@ -194,15 +195,16 @@ std::string EncodeWorkerResult(const ReplayResult& result) {
   for (const exec::LogEntry& e : result.probe_entries)
     probe_stream.Append(e);
 
-  return EncodeResultSections({meta, result.logs.Serialize(),
-                               probe_stream.Serialize(),
-                               JoinUids(result.probes.probe_stmt_uids),
-                               JoinUids(result.probes.probed_loops)});
+  return EncodeSections(kResultFileTag,
+                        {meta, result.logs.Serialize(),
+                         probe_stream.Serialize(),
+                         JoinUids(result.probes.probe_stmt_uids),
+                         JoinUids(result.probes.probed_loops)});
 }
 
 Result<ReplayResult> DecodeWorkerResult(const std::string& data) {
   FLOR_ASSIGN_OR_RETURN(std::vector<std::string> sections,
-                        DecodeResultSections(data));
+                        DecodeSections(kResultFileTag, data));
   if (sections.size() != kWorkerResultSections) {
     return Status::Corruption(
         StrCat("worker result: expected ", kWorkerResultSections,
@@ -318,6 +320,47 @@ Result<MergedClusterReplay> ReplayMerger::Finish(
   out.deferred = DeferredCheck(record_logs.entries(),
                                out.merged_logs.entries(), probe_uids);
   return out;
+}
+
+Result<ReplayResult> ReplayWorker(const ProgramFactory& factory,
+                                  FileSystem* fs,
+                                  std::unique_ptr<Clock> clock,
+                                  const ReplayOptions& options) {
+  Env env(std::move(clock), fs);
+  FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
+  ReplaySession session(&env, options);
+  exec::Frame frame;
+  return session.Run(instance.program.get(), &frame);
+}
+
+Result<MergedClusterReplay> RunPartitionedReplay(const ProgramFactory& factory,
+                                                 FileSystem* fs,
+                                                 const ReplaySpec& spec,
+                                                 PartitionRunner* runner) {
+  FLOR_ASSIGN_OR_RETURN(const int active,
+                        PlanActiveWorkers(factory, fs, spec));
+  std::vector<ReplayOptions> workers;
+  workers.reserve(static_cast<size_t>(active));
+  for (int w = 0; w < active; ++w)
+    workers.push_back(WorkerReplayOptions(spec, w));
+
+  ReplayMerger merger;
+  std::vector<Status> outcome(static_cast<size_t>(active),
+                              Status::Internal("worker never reported"));
+  FLOR_RETURN_IF_ERROR(runner->Run(
+      factory, fs, workers, [&](int w, Result<ReplayResult> result) {
+        FLOR_CHECK(w >= 0 && w < active);
+        outcome[static_cast<size_t>(w)] = result.status();
+        if (result.ok()) merger.Add(w, std::move(result).value());
+      }));
+  for (int w = 0; w < active; ++w) {
+    const Status& status = outcome[static_cast<size_t>(w)];
+    if (!status.ok()) {
+      return Status(status.code(),
+                    StrCat("replay worker ", w, ": ", status.message()));
+    }
+  }
+  return merger.Finish(fs, spec.run_prefix);
 }
 
 }  // namespace flor

@@ -1,14 +1,19 @@
-// Shared partition-planning and log-merging core for cluster replay.
+// Partitioned hindsight replay: one spec, one driver, pluggable runners.
 //
-// Two engines execute partitioned hindsight replay:
-//   * sim::ClusterReplay — workers run sequentially, each on its own
-//     simulated clock (deterministic paper-scale latency modeling);
-//   * exec::ReplayExecutor — workers run concurrently on a real thread
-//     pool against the wall clock (measured speedup).
-// Both must agree on *what* each worker replays and on how worker log
-// partitions are merged and deferred-checked, so that the merged replay
-// logs are byte-identical across engines and thread counts. That common
-// core lives here.
+// The paper's parallel replay has four steps: plan the main loop into G
+// partitions, replay each partition on an independent worker, merge the
+// workers' logs, deferred-check the merged log once. RunPartitionedReplay
+// is the only implementation of that plan -> run -> merge sequence. What
+// differs between engines is only *how* the planned workers execute, which
+// a PartitionRunner supplies:
+//   * sim::ClusterReplay            — sequential workers, simulated clocks
+//     (deterministic paper-scale latency modeling);
+//   * exec::ReplayExecutor          — work-stealing thread pool, wall clock
+//     (measured speedup);
+//   * exec::ProcessReplayExecutor   — bounded fork pool, one process per
+//     partition (true isolation, retry and speculation).
+// Because planning and merging are shared, the merged replay logs are
+// byte-identical across engines, thread counts and partition counts.
 //
 // Checkpoint-store sharding is invisible at this layer by design: each
 // worker's ReplaySession reads the shard count from the record manifest
@@ -18,6 +23,8 @@
 #ifndef FLOR_FLOR_REPLAY_PLAN_H_
 #define FLOR_FLOR_REPLAY_PLAN_H_
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,12 +34,13 @@
 
 namespace flor {
 
-/// Engine-agnostic cluster-replay configuration: everything needed to plan
-/// worker partitions and build per-worker ReplayOptions. The read-tier
-/// fields (bucket + bloom) come from the shared TierOptions base
-/// (checkpoint/store.h) and are sliced into every worker's ReplayOptions,
-/// so each worker's store sees the same tier configuration.
-struct ClusterPlanOptions : TierOptions {
+/// What a partitioned replay replays: the record run, the partition count
+/// G, the init mode, the restore-cost model and optional iteration
+/// sampling, plus the read-tier fields (bucket + bloom) from the shared
+/// TierOptions base (checkpoint/store.h). This is the only declaration of
+/// these fields for partitioned replay; the engines' option structs carry
+/// only their runner knobs (how partitions execute, never what they are).
+struct ReplaySpec : TierOptions {
   std::string run_prefix = "run";
   /// Requested log partitions (the paper's G). The effective worker count
   /// can be lower when the main loop is short or checkpoints are sparse.
@@ -57,12 +65,12 @@ std::vector<int64_t> CheckpointBoundaryEpochs(ir::Program* program,
 /// known (surplus workers then plan themselves empty at run time).
 Result<int> PlanActiveWorkers(const ProgramFactory& factory,
                               const FileSystem* fs,
-                              const ClusterPlanOptions& options);
+                              const ReplaySpec& options);
 
-/// Per-worker ReplayOptions derived from the cluster-level options. The
+/// Per-worker ReplayOptions derived from the spec. The
 /// deferred check is disabled per worker: the merger checks the merged
 /// stream once.
-ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
+ReplayOptions WorkerReplayOptions(const ReplaySpec& options,
                                   int worker_id);
 
 /// Main-loop epochs whose checkpoints the replay planned by `options` will
@@ -71,13 +79,13 @@ ReplayOptions WorkerReplayOptions(const ClusterPlanOptions& options,
 /// sampling: the weak-init epoch before every non-contiguous jump), as a
 /// sorted, deduplicated list. Retention pins these
 /// (GcPolicy::pinned_epochs) so a replay planned before a GC pass still
-/// finds every checkpoint it restores — the GC-side half of "both engines
-/// never observe a retired epoch they were planned against". Fails when
+/// finds every checkpoint it restores — the GC-side half of "no engine
+/// ever observes a retired epoch it was planned against". Fails when
 /// the main-loop trip count is not statically known (such plans are made
 /// at run time and cannot be pinned ahead of a GC).
 Result<std::vector<int64_t>> PlannedRestoreEpochs(
     const ProgramFactory& factory, const FileSystem* fs,
-    const ClusterPlanOptions& options);
+    const ReplaySpec& options);
 
 /// Engine-agnostic aggregate of a partitioned replay.
 struct MergedClusterReplay {
@@ -99,9 +107,13 @@ struct MergedClusterReplay {
   int64_t bloom_skipped_probes = 0;
 };
 
+/// Header tag of worker result files (serialize/frame.h sectioned
+/// envelope): frame 0 reads "florres1\t<n>".
+inline constexpr char kResultFileTag[] = "florres1";
+
 /// Encodes one worker's ReplayResult for out-of-process transport — the
 /// fork-per-partition engine (exec/process_executor.h) has each child
-/// write this to a CRC-framed result file (env/result_file.h) and the
+/// write this to a CRC-framed result file (kResultFileTag) and the
 /// parent decode it back into the exact ReplayResult an in-process worker
 /// would have handed the merger. The round trip is lossless: doubles
 /// travel as hexfloat, log fragments via LogStream's line encoding.
@@ -113,8 +125,8 @@ Result<ReplayResult> DecodeWorkerResult(const std::string& data);
 
 /// Accumulates per-worker ReplayResults (in any completion order), then
 /// merges logs in worker order and runs the merged deferred check against
-/// the record logs. Thread-compatible: callers serialize Add/Finish (both
-/// engines add results from the coordinating thread after workers join).
+/// the record logs. Thread-compatible: callers serialize Add/Finish (the
+/// driver adds results on the thread that runs the PartitionRunner).
 /// Results may come from in-process workers or be decoded from another
 /// process's result file (DecodeWorkerResult) — the merge is identical.
 class ReplayMerger {
@@ -129,6 +141,46 @@ class ReplayMerger {
  private:
   std::vector<std::pair<int, ReplayResult>> workers_;
 };
+
+/// One worker replayed in-process: builds a fresh program instance from
+/// `factory` and runs a ReplaySession with `options` on an env of `clock`
+/// over `fs`. The in-process runners call this per partition; the fork
+/// runner calls it inside each child.
+Result<ReplayResult> ReplayWorker(const ProgramFactory& factory,
+                                  FileSystem* fs,
+                                  std::unique_ptr<Clock> clock,
+                                  const ReplayOptions& options);
+
+/// Receives one planned worker's outcome, by worker id.
+using WorkerDone =
+    std::function<void(int worker_id, Result<ReplayResult> result)>;
+
+/// Executes the planned partitions of one replay; knows nothing of
+/// planning or merging.
+class PartitionRunner {
+ public:
+  virtual ~PartitionRunner() = default;
+
+  /// Replays every planned worker — worker w with `workers[w]`
+  /// (WorkerReplayOptions of the spec) against `fs` — and reports each
+  /// worker's outcome exactly once through `done`, in any order, on the
+  /// calling thread. A worker that fails is reported with its Status; a
+  /// non-OK return fails the whole replay with that Status instead (for
+  /// failures the runner diagnoses itself, such as dead processes).
+  virtual Status Run(const ProgramFactory& factory, FileSystem* fs,
+                     const std::vector<ReplayOptions>& workers,
+                     const WorkerDone& done) = 0;
+};
+
+/// The partitioned-replay driver: plans the workers of `spec` once
+/// (PlanActiveWorkers), has `runner` execute WorkerReplayOptions(spec, w)
+/// for every active worker w, and merges and deferred-checks once
+/// (ReplayMerger::Finish). A worker that fails or never reports fails
+/// the replay with an error naming it (the lowest failing worker id).
+Result<MergedClusterReplay> RunPartitionedReplay(const ProgramFactory& factory,
+                                                 FileSystem* fs,
+                                                 const ReplaySpec& spec,
+                                                 PartitionRunner* runner);
 
 }  // namespace flor
 

@@ -4,6 +4,16 @@
 // payload only. Checkpoint files are a concatenation of frames; corruption
 // of any byte is detected on read (property-tested via
 // MemFileSystem::CorruptByte).
+//
+// A sectioned envelope wraps a list of byte sections for transport — the
+// worker result files of process replay ("florres1") and the service's
+// wire messages ("florwir1\t<req|res>") both use it:
+//   frame 0  header  "<tag>\t<n>"   (n = number of sections)
+//   frame 1..n       one section each
+// The header count makes truncation at an exact frame boundary — the one
+// cut a bare frame stream cannot see — detectable; every other cut or
+// mutation is caught by the per-frame CRC. Decoding a torn or mutated
+// envelope therefore always fails with Corruption.
 
 #ifndef FLOR_SERIALIZE_FRAME_H_
 #define FLOR_SERIALIZE_FRAME_H_
@@ -21,6 +31,16 @@ void AppendFrame(std::string* dst, const std::string& payload);
 /// Reads all frames from `data`; fails with Corruption on any checksum or
 /// structural error.
 Result<std::vector<std::string>> ReadFrames(const std::string& data);
+
+/// Encodes `sections` as a sectioned envelope whose header carries `tag`.
+std::string EncodeSections(const std::string& tag,
+                           const std::vector<std::string>& sections);
+
+/// Decodes a sectioned envelope, requiring header tag `tag`. Any
+/// truncation (including empty input or a cut at a frame boundary), a
+/// different tag, or a byte mutation fails with Corruption.
+Result<std::vector<std::string>> DecodeSections(const std::string& tag,
+                                                const std::string& data);
 
 /// Cursor-style reader for streaming consumption.
 class FrameReader {

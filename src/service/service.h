@@ -96,16 +96,11 @@ struct ConnectionOptions {
   /// frees (counted in ConnectionStats::admission_waits). 0 = unlimited.
   int max_concurrent_records = 0;
   /// Per-tenant admission quota: at most this many of the global slots
-  /// may be held by one tenant at a time. 0 = no per-tenant cap. Only
-  /// meaningful under fair admission.
+  /// may be held by one tenant at a time. 0 = no per-tenant cap. Freed
+  /// slots are handed round-robin across *tenants* with waiting
+  /// recorders, and arrivals cannot barge past the wait ring, so a burst
+  /// tenant cannot starve steady ones.
   int max_records_per_tenant = 0;
-  /// Fair admission (the default): freed slots are handed round-robin
-  /// across *tenants* with waiting recorders, and arrivals cannot barge
-  /// past the wait ring, so a burst tenant cannot starve steady ones.
-  /// false selects the legacy global FIFO cv-gate — kept so the skewed
-  /// bench can measure the fairness fix (per-tenant quotas are not
-  /// enforced in this mode).
-  bool fair_admission = true;
 };
 
 /// Starved-wait histogram shape: exponential admission-wait buckets
@@ -127,7 +122,7 @@ struct TenantStats {
   /// Record calls that blocked on the admission gate.
   int64_t admission_waits = 0;
   /// High-water mark of this tenant's concurrently executing records —
-  /// under fair admission never exceeds max_records_per_tenant.
+  /// never exceeds max_records_per_tenant.
   int max_observed_records = 0;
   int active_records = 0;
   /// Total / worst admission-gate wait, and the starved-wait histogram
@@ -330,8 +325,7 @@ class Connection {
   BackgroundQueue gc_queue_;
 
   mutable std::mutex mu_;
-  std::condition_variable slot_freed_;  ///< legacy FIFO gate only
-  std::condition_variable ops_idle_;    ///< Close waits here
+  std::condition_variable ops_idle_;  ///< Close waits here
   std::map<std::string, TenantGate> gates_;
   /// Round-robin grant order: tenants with waiting recorders, each at
   /// most once.

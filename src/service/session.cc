@@ -100,7 +100,16 @@ Result<SessionReplayResult> Session::Replay(
   }
   FLOR_RETURN_IF_ERROR(conn_->BeginOp());
   Connection::OpScope op(conn_);
-  const TierOptions& tier = conn_->options().tier;
+
+  // What to replay is one ReplaySpec; the engine only picks the runner.
+  ReplaySpec spec;
+  static_cast<TierOptions&>(spec) = conn_->options().tier;
+  spec.run_prefix = prefix;
+  spec.num_workers = options.workers;
+  spec.init_mode = options.init_mode;
+  spec.costs = options.costs;
+  spec.sample_epochs = options.sample_epochs;
+  FileSystem* fs = conn_->env()->fs();
 
   SessionReplayResult out;
   out.engine = options.engine;
@@ -113,51 +122,32 @@ Result<SessionReplayResult> Session::Replay(
                    ") must be a positive multiple of instance gpus (",
                    options.instance.gpus, ")"));
       }
-      sim::ClusterReplayOptions eopts;
-      static_cast<TierOptions&>(eopts) = tier;
-      eopts.run_prefix = prefix;
-      eopts.cluster.instance = options.instance;
-      eopts.cluster.num_machines = options.workers / options.instance.gpus;
-      eopts.init_mode = options.init_mode;
-      eopts.costs = options.costs;
-      eopts.sample_epochs = options.sample_epochs;
-      FLOR_ASSIGN_OR_RETURN(
-          sim::ClusterReplayResult r,
-          sim::ClusterReplay(factory, conn_->env()->fs(), eopts));
+      sim::ClusterReplayOptions billing;
+      billing.instance = options.instance;
+      FLOR_ASSIGN_OR_RETURN(sim::ClusterReplayResult r,
+                            sim::ClusterReplay(factory, fs, spec, billing));
       out.total_cost_dollars = r.total_cost_dollars;
       static_cast<MergedClusterReplay&>(out) = std::move(r);
       break;
     }
     case ReplayEngine::kThreads: {
-      exec::ReplayExecutorOptions eopts;
-      static_cast<TierOptions&>(eopts) = tier;
-      eopts.run_prefix = prefix;
-      eopts.num_partitions = options.workers;
-      eopts.num_threads =
+      exec::ReplayExecutorOptions pool;
+      pool.num_threads =
           options.num_threads > 0 ? options.num_threads : options.workers;
-      eopts.init_mode = options.init_mode;
-      eopts.costs = options.costs;
-      eopts.sample_epochs = options.sample_epochs;
-      exec::ReplayExecutor executor(conn_->env()->fs(), std::move(eopts));
-      FLOR_ASSIGN_OR_RETURN(exec::ReplayExecutorResult r,
-                            executor.Run(factory));
+      FLOR_ASSIGN_OR_RETURN(
+          exec::ReplayExecutorResult r,
+          exec::ReplayExecutor(fs, std::move(spec), pool).Run(factory));
       out.wall_seconds = r.wall_seconds;
       static_cast<MergedClusterReplay&>(out) = std::move(r);
       break;
     }
     case ReplayEngine::kProcesses: {
-      exec::ProcessReplayExecutorOptions eopts;
-      static_cast<TierOptions&>(eopts) = tier;
-      eopts.run_prefix = prefix;
-      eopts.num_partitions = options.workers;
-      eopts.init_mode = options.init_mode;
-      eopts.costs = options.costs;
-      eopts.sample_epochs = options.sample_epochs;
-      eopts.scratch_dir = options.scratch_dir;
-      exec::ProcessReplayExecutor executor(conn_->env()->fs(),
-                                           std::move(eopts));
-      FLOR_ASSIGN_OR_RETURN(exec::ProcessReplayExecutorResult r,
-                            executor.Run(factory));
+      exec::ProcessReplayExecutorOptions forks;
+      forks.scratch_dir = options.scratch_dir;
+      FLOR_ASSIGN_OR_RETURN(
+          exec::ProcessReplayExecutorResult r,
+          exec::ProcessReplayExecutor(fs, std::move(spec), std::move(forks))
+              .Run(factory));
       out.wall_seconds = r.wall_seconds;
       static_cast<MergedClusterReplay&>(out) = std::move(r);
       break;

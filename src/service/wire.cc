@@ -10,10 +10,6 @@ namespace wire {
 
 namespace {
 
-const char* KindName(WireKind kind) {
-  return kind == WireKind::kRequest ? "req" : "res";
-}
-
 /// Parses a meta section of exactly `keys.size()` "key\tvalue" lines in
 /// the given order. Anything else — missing key, extra line, reordered
 /// lines — is Corruption: encoders emit a fixed shape, so deviation
@@ -60,44 +56,6 @@ Result<double> MetaDouble(const std::string& value, const char* key) {
 
 }  // namespace
 
-std::string EncodeWireSections(WireKind kind,
-                               const std::vector<std::string>& sections) {
-  std::string out;
-  AppendFrame(&out, StrCat(kWireMagic, "\t", KindName(kind), "\t",
-                           sections.size()));
-  for (const std::string& section : sections) AppendFrame(&out, section);
-  return out;
-}
-
-Result<std::vector<std::string>> DecodeWireSections(
-    WireKind expected, const std::string& data) {
-  FLOR_ASSIGN_OR_RETURN(std::vector<std::string> frames, ReadFrames(data));
-  if (frames.empty())
-    return Status::Corruption("wire message: empty (no header frame)");
-  const std::vector<std::string> header = StrSplit(frames[0], '\t');
-  if (header.size() != 3 || header[0] != kWireMagic) {
-    return Status::Corruption("wire message: bad header magic");
-  }
-  if (header[1] != KindName(expected)) {
-    return Status::Corruption(
-        StrCat("wire message: expected kind '", KindName(expected),
-               "', got '", header[1], "'"));
-  }
-  int64_t declared = 0;
-  if (!ParseI64(header[2], &declared) || declared < 0) {
-    return Status::Corruption(
-        StrCat("wire message: bad section count '", header[2], "'"));
-  }
-  if (static_cast<size_t>(declared) != frames.size() - 1) {
-    return Status::Corruption(
-        StrCat("wire message: header declares ", declared,
-               " sections but ", frames.size() - 1,
-               " follow — truncated at a frame boundary?"));
-  }
-  frames.erase(frames.begin());
-  return frames;
-}
-
 std::string EncodeRequest(const Request& req) {
   std::string meta;
   meta += StrCat("op\t", req.op, "\n");
@@ -107,12 +65,12 @@ std::string EncodeRequest(const Request& req) {
   meta += StrCat("engine\t", req.engine, "\n");
   meta += StrCat("workers\t", req.workers, "\n");
   meta += StrCat("loop_id\t", req.loop_id);
-  return EncodeWireSections(WireKind::kRequest, {meta, req.ctx});
+  return EncodeSections(kRequestTag, {meta, req.ctx});
 }
 
 Result<Request> DecodeRequest(const std::string& message) {
   FLOR_ASSIGN_OR_RETURN(std::vector<std::string> sections,
-                        DecodeWireSections(WireKind::kRequest, message));
+                        DecodeSections(kRequestTag, message));
   if (sections.size() != 2) {
     return Status::Corruption(
         StrCat("wire request: expected 2 sections, got ", sections.size()));
@@ -144,12 +102,12 @@ std::string EncodeResponse(const Response& res) {
   sections.push_back(StrCat("code\t", res.code));
   sections.push_back(res.message);
   for (const std::string& p : res.payload) sections.push_back(p);
-  return EncodeWireSections(WireKind::kResponse, sections);
+  return EncodeSections(kResponseTag, sections);
 }
 
 Result<Response> DecodeResponse(const std::string& message) {
   FLOR_ASSIGN_OR_RETURN(std::vector<std::string> sections,
-                        DecodeWireSections(WireKind::kResponse, message));
+                        DecodeSections(kResponseTag, message));
   if (sections.size() < 2) {
     return Status::Corruption(
         StrCat("wire response: expected >= 2 sections, got ",

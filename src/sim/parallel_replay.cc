@@ -1,46 +1,47 @@
 #include "sim/parallel_replay.h"
 
-#include "flor/replay_plan.h"
+#include <algorithm>
 
 namespace flor {
 namespace sim {
 
+namespace {
+
+/// Workers are fully independent; on this single simulated host they run
+/// sequentially while each accrues time on its own simulated clock.
+class SequentialSimRunner : public PartitionRunner {
+ public:
+  Status Run(const ProgramFactory& factory, FileSystem* fs,
+             const std::vector<ReplayOptions>& workers,
+             const WorkerDone& done) override {
+    for (size_t w = 0; w < workers.size(); ++w) {
+      done(static_cast<int>(w),
+           ReplayWorker(factory, fs, std::make_unique<SimClock>(),
+                        workers[w]));
+    }
+    return Status::OK();
+  }
+};
+
+}  // namespace
+
 Result<ClusterReplayResult> ClusterReplay(const ProgramFactory& factory,
                                           FileSystem* shared_fs,
+                                          const ReplaySpec& spec,
                                           const ClusterReplayOptions&
                                               options) {
-  ClusterPlanOptions plan;
-  plan.run_prefix = options.run_prefix;
-  plan.num_workers =
-      options.sample_epochs.empty() ? options.cluster.total_gpus() : 1;
-  plan.init_mode = options.init_mode;
-  plan.costs = options.costs;
-  plan.sample_epochs = options.sample_epochs;
-  static_cast<TierOptions&>(plan) = options;  // bucket + bloom, one slice
-
-  FLOR_ASSIGN_OR_RETURN(const int active,
-                        PlanActiveWorkers(factory, shared_fs, plan));
-
-  // Workers are fully independent; on this single simulated host they run
-  // sequentially while each accrues time on its own simulated clock.
-  ReplayMerger merger;
-  for (int w = 0; w < active; ++w) {
-    auto env = std::make_unique<Env>(std::make_unique<SimClock>(),
-                                     shared_fs);
-    FLOR_ASSIGN_OR_RETURN(ProgramInstance instance, factory());
-    ReplaySession session(env.get(), WorkerReplayOptions(plan, w));
-    exec::Frame frame;
-    FLOR_ASSIGN_OR_RETURN(ReplayResult wres,
-                          session.Run(instance.program.get(), &frame));
-    merger.Add(w, std::move(wres));
-  }
+  SequentialSimRunner runner;
   ClusterReplayResult result;
-  FLOR_ASSIGN_OR_RETURN(static_cast<MergedClusterReplay&>(result),
-                        merger.Finish(shared_fs, options.run_prefix));
+  FLOR_ASSIGN_OR_RETURN(
+      static_cast<MergedClusterReplay&>(result),
+      RunPartitionedReplay(factory, shared_fs, spec, &runner));
 
   // Simulated-cluster extras: machine billing.
-  result.machine_usage =
-      PriceCluster(options.cluster, result.worker_seconds);
+  Cluster cluster;
+  cluster.instance = options.instance;
+  const int gpus = std::max(1, options.instance.gpus);
+  cluster.num_machines = std::max(1, (spec.num_workers + gpus - 1) / gpus);
+  result.machine_usage = PriceCluster(cluster, result.worker_seconds);
   result.total_cost_dollars = TotalClusterCost(result.machine_usage);
   return result;
 }

@@ -7,20 +7,13 @@
 // nothing: there is no merge barrier in Flor; log partitions are
 // concatenated by key order).
 //
-// Partition planning and log merging are shared with the real thread-pool
-// engine (exec/replay_executor.h) via flor/replay_plan.h, so both engines
-// produce byte-identical merged logs; this engine adds paper-scale latency
-// modeling and cluster billing on top.
-//
-// The merged work-segment logs are deferred-checked against the record
-// logs, so partitioned replay correctness is verified for real on every
-// engine run.
+// This engine is a PartitionRunner over the shared driver
+// (flor/replay_plan.h), which plans, merges and deferred-checks for every
+// engine, so all three produce byte-identical merged logs; this one adds
+// paper-scale latency modeling and cluster billing on top.
 
 #ifndef FLOR_SIM_PARALLEL_REPLAY_H_
 #define FLOR_SIM_PARALLEL_REPLAY_H_
-
-#include <string>
-#include <vector>
 
 #include "env/filesystem.h"
 #include "flor/replay.h"
@@ -30,16 +23,11 @@
 namespace flor {
 namespace sim {
 
-/// Engine configuration. The read-tier fields (bucket fall-through, bloom
-/// filters) come from the shared TierOptions base (checkpoint/store.h) and
-/// are sliced into the cluster plan, so every worker's store sees them.
-struct ClusterReplayOptions : TierOptions {
-  std::string run_prefix = "run";
-  Cluster cluster;
-  InitMode init_mode = InitMode::kStrong;
-  MaterializerCosts costs;
-  /// Optional iteration sampling (single worker) instead of partitioning.
-  std::vector<int64_t> sample_epochs;
+/// Simulated-runner knobs: only the billing shape. Workers fill machines
+/// of this instance type in worker order; the machine count follows from
+/// the spec's partition count G (ceil(G / instance.gpus)).
+struct ClusterReplayOptions {
+  Ec2Instance instance = kP3_8xLarge;
 };
 
 /// Aggregate outcome of a cluster replay: the engine-agnostic merge
@@ -51,13 +39,13 @@ struct ClusterReplayResult : MergedClusterReplay {
   double total_cost_dollars = 0;
 };
 
-/// Runs a parallel replay of the record run at `run_prefix` (stored on
-/// `shared_fs`). `factory` rebuilds the *current* (possibly probed) program
-/// for each worker.
-Result<ClusterReplayResult> ClusterReplay(const ProgramFactory& factory,
-                                          FileSystem* shared_fs,
-                                          const ClusterReplayOptions&
-                                              options);
+/// Runs a parallel replay of `spec` (the record run at spec.run_prefix,
+/// stored on `shared_fs`). `factory` rebuilds the *current* (possibly
+/// probed) program for each worker.
+Result<ClusterReplayResult> ClusterReplay(
+    const ProgramFactory& factory, FileSystem* shared_fs,
+    const ReplaySpec& spec,
+    const ClusterReplayOptions& options = ClusterReplayOptions());
 
 }  // namespace sim
 }  // namespace flor

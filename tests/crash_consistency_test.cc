@@ -27,10 +27,10 @@
 #include "checkpoint/store.h"
 #include "common/strings.h"
 #include "env/filesystem.h"
-#include "env/result_file.h"
 #include "exec/process_executor.h"
 #include "exec/replay_executor.h"
 #include "flor/record.h"
+#include "serialize/frame.h"
 #include "sim/parallel_replay.h"
 #include "test_util.h"
 #include "workloads/programs.h"
@@ -361,20 +361,19 @@ TEST_F(CrashConsistencyTest, KilledMidGcLeavesReplayableStore) {
   // (c) Both engines replay the crashed-GC store green, byte-identically.
   auto factory =
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   auto sim_result = sim::ClusterReplay(factory, &fs, copts);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
   EXPECT_TRUE(sim_result->deferred.ok);
 
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = 2;
-  xopts.num_partitions = 2;
+  xopts.num_workers = 2;
   xopts.init_mode = InitMode::kWeak;
-  auto real_result = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  auto real_result = exec::ReplayExecutor(&fs, xopts, {2}).Run(factory);
   ASSERT_TRUE(real_result.ok()) << real_result.status().ToString();
   EXPECT_TRUE(real_result->deferred.ok);
   EXPECT_EQ(real_result->merged_logs.Serialize(),
@@ -466,9 +465,9 @@ TEST_F(CrashConsistencyTest, KilledMidBucketRetirementKeepsTiersReadable) {
   // (c) The crashed-GC run replays green with the bucket attached.
   auto factory =
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   copts.bucket_prefix = "s3";
   auto sim_result = sim::ClusterReplay(factory, &fs, copts);
@@ -697,10 +696,11 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
   const std::string scratch = root() + "/proc-scratch";
 
+  ReplaySpec spec;
+  spec.run_prefix = "run";
+  spec.num_workers = 4;
+  spec.init_mode = InitMode::kWeak;
   exec::ProcessReplayExecutorOptions popts;
-  popts.run_prefix = "run";
-  popts.num_partitions = 4;
-  popts.init_mode = InitMode::kWeak;
   popts.scratch_dir = scratch;
   // Pre-scheduler fail-fast contract, preserved verbatim at
   // max_attempts=1; KilledMidResultWriteIsRetriedToSuccess below covers
@@ -713,13 +713,13 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
     // half of a framed result, then die.
     PosixFileSystem child_fs(scratch);
     const std::string bytes =
-        EncodeResultSections({"half", "written", "fragment"});
+        EncodeSections(kResultFileTag, {"half", "written", "fragment"});
     (void)child_fs.AppendFile(
         exec::ProcessReplayExecutor::ResultFileName(1),
         bytes.substr(0, bytes.size() / 2));
     raise(SIGKILL);
   };
-  auto failed = exec::ProcessReplayExecutor(&fs, popts).Run(factory);
+  auto failed = exec::ProcessReplayExecutor(&fs, spec, popts).Run(factory);
   ASSERT_FALSE(failed.ok());
   const std::string msg = failed.status().message();
   EXPECT_NE(msg.find("partition 1/4"), std::string::npos) << msg;
@@ -733,8 +733,10 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
   PosixFileSystem scratch_fs(scratch);
   ASSERT_TRUE(scratch_fs.Exists(
       exec::ProcessReplayExecutor::ResultFileName(1)));
-  auto torn = ReadResultFile(&scratch_fs,
-                             exec::ProcessReplayExecutor::ResultFileName(1));
+  auto torn_bytes =
+      scratch_fs.ReadFile(exec::ProcessReplayExecutor::ResultFileName(1));
+  ASSERT_TRUE(torn_bytes.ok()) << torn_bytes.status().ToString();
+  auto torn = DecodeSections(kResultFileTag, *torn_bytes);
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
   // Surviving fragments are intact and decodable.
@@ -749,13 +751,13 @@ TEST_F(CrashConsistencyTest, ReplayWorkerKilledMidPartitionIsRecoverable) {
   // simulated engine — the crash left no durable damage.
   exec::ProcessReplayExecutorOptions clean = popts;
   clean.child_before_result_write = nullptr;
-  auto rerun = exec::ProcessReplayExecutor(&fs, clean).Run(factory);
+  auto rerun = exec::ProcessReplayExecutor(&fs, spec, clean).Run(factory);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_TRUE(rerun->deferred.ok);
 
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   auto sim_result = sim::ClusterReplay(factory, &fs, copts);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
@@ -803,22 +805,23 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
       workloads::MakeWorkloadFactory(profile, workloads::kProbeInner);
   const std::string scratch = root() + "/proc-scratch";
 
+  ReplaySpec spec;
+  spec.run_prefix = "run";
+  spec.num_workers = 4;
+  spec.init_mode = InitMode::kWeak;
   exec::ProcessReplayExecutorOptions popts;  // default max_attempts = 2
-  popts.run_prefix = "run";
-  popts.num_partitions = 4;
-  popts.init_mode = InitMode::kWeak;
   popts.scratch_dir = scratch;
   popts.child_before_result_write = [scratch](int worker_id, int attempt) {
     if (worker_id != 1 || attempt != 1) return;
     PosixFileSystem child_fs(scratch);
     const std::string bytes =
-        EncodeResultSections({"half", "written", "fragment"});
+        EncodeSections(kResultFileTag, {"half", "written", "fragment"});
     (void)child_fs.AppendFile(
         exec::ProcessReplayExecutor::ResultFileName(1, 1),
         bytes.substr(0, bytes.size() / 2));
     raise(SIGKILL);
   };
-  auto result = exec::ProcessReplayExecutor(&fs, popts).Run(factory);
+  auto result = exec::ProcessReplayExecutor(&fs, spec, popts).Run(factory);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok);
   EXPECT_EQ(result->retried_partitions, 1);
@@ -828,8 +831,10 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
   // The torn attempt-1 file is still on disk and still refuses to parse;
   // the committed fragment lives at the attempt-2 name.
   PosixFileSystem scratch_fs(scratch);
-  auto torn = ReadResultFile(
-      &scratch_fs, exec::ProcessReplayExecutor::ResultFileName(1, 1));
+  auto torn_bytes = scratch_fs.ReadFile(
+      exec::ProcessReplayExecutor::ResultFileName(1, 1));
+  ASSERT_TRUE(torn_bytes.ok()) << torn_bytes.status().ToString();
+  auto torn = DecodeSections(kResultFileTag, *torn_bytes);
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
   auto committed = scratch_fs.ReadFile(
@@ -837,9 +842,9 @@ TEST_F(CrashConsistencyTest, KilledMidResultWriteIsRetriedToSuccess) {
   ASSERT_TRUE(committed.ok());
   EXPECT_TRUE(DecodeWorkerResult(*committed).ok());
 
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   auto sim_result = sim::ClusterReplay(factory, &fs, copts);
   ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();

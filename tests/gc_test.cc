@@ -249,9 +249,9 @@ TEST(CheckpointGc, ReplayEnginesByteIdenticalOnRetiredStore) {
   ASSERT_GT(report->retired_objects(), 0);
 
   // Simulated engine on the retired store.
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   auto sim_result = sim::ClusterReplay(MakeWorkloadFactory(profile,
                                                            kProbeInner),
@@ -266,12 +266,11 @@ TEST(CheckpointGc, ReplayEnginesByteIdenticalOnRetiredStore) {
   // simulated engine.
   std::string baseline;
   for (int threads : {1, 2, 4}) {
-    exec::ReplayExecutorOptions xopts;
+    ReplaySpec xopts;
     xopts.run_prefix = "run";
-    xopts.num_threads = threads;
-    xopts.num_partitions = 4;
+    xopts.num_workers = 4;
     xopts.init_mode = InitMode::kWeak;
-    exec::ReplayExecutor executor(&fs, xopts);
+    exec::ReplayExecutor executor(&fs, xopts, {threads});
     auto result = executor.Run(MakeWorkloadFactory(profile, kProbeInner));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(result->deferred.ok);
@@ -294,7 +293,7 @@ TEST(CheckpointGc, PinnedReplayPlanSurvivesAggressiveRetention) {
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
 
   // Plan a 4-way replay and run it before any retention: the baseline.
-  ClusterPlanOptions plan_opts;
+  ReplaySpec plan_opts;
   plan_opts.run_prefix = "run";
   plan_opts.num_workers = 4;
   plan_opts.init_mode = InitMode::kWeak;
@@ -302,12 +301,11 @@ TEST(CheckpointGc, PinnedReplayPlanSurvivesAggressiveRetention) {
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
   ASSERT_FALSE(pinned->empty());
 
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
+  xopts.num_workers = 4;
   xopts.init_mode = InitMode::kWeak;
-  auto before = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  auto before = exec::ReplayExecutor(&fs, xopts, {4}).Run(factory);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_TRUE(before->deferred.ok);
 
@@ -337,7 +335,7 @@ TEST(CheckpointGc, PinnedReplayPlanSurvivesAggressiveRetention) {
 
   // The same 4-way replay still runs green after retention, and its merged
   // log is byte-identical to the pre-retention run.
-  auto after = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  auto after = exec::ReplayExecutor(&fs, xopts, {4}).Run(factory);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_TRUE(after->deferred.ok);
   EXPECT_EQ(after->workers_used, before->workers_used);
@@ -377,12 +375,11 @@ TEST(CheckpointGc, DeleteFailuresLeakOrphansNeverBreakReplay) {
   EXPECT_LT(referenced, base.ListPrefix("run/ckpt/").size());
 
   // Replay ignores orphans: still green on the real engine.
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = 2;
-  xopts.num_partitions = 2;
+  xopts.num_workers = 2;
   xopts.init_mode = InitMode::kWeak;
-  auto result = exec::ReplayExecutor(&base, xopts)
+  auto result = exec::ReplayExecutor(&base, xopts, {2})
                     .Run(MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok);
@@ -455,9 +452,9 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
 
   // And the demoted run replays green, byte-identically on both engines,
   // faulting old epochs in from the bucket.
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   copts.bucket_prefix = "s3";
   copts.bucket_rehydrate = false;
@@ -468,14 +465,13 @@ TEST(CheckpointGc, RecordSessionLifecycleSpoolsThenDemotes) {
   EXPECT_TRUE(sim_result->deferred.ok);
   EXPECT_GT(sim_result->bucket_faults, 0);
 
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
+  xopts.num_workers = 4;
   xopts.init_mode = InitMode::kWeak;
   xopts.bucket_prefix = "s3";
   xopts.bucket_rehydrate = false;
-  auto real_result = exec::ReplayExecutor(&fs, xopts)
+  auto real_result = exec::ReplayExecutor(&fs, xopts, {4})
                          .Run(MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(real_result.ok()) << real_result.status().ToString();
   EXPECT_TRUE(real_result->deferred.ok);

@@ -133,9 +133,9 @@ TEST(MultiLoop, ParallelReplayIntersectsBoundaries) {
     Frame frame;
     ASSERT_TRUE(session.Run(instance->program.get(), &frame).ok());
   }
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;  // 4 workers over 6 epochs
+  copts.num_workers = 4;  // 4 workers over 6 epochs
   auto result = sim::ClusterReplay([] { return TwoLoopProgram(true); }, &fs,
                                    copts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -52,10 +52,9 @@ TEST(ClusterReplay, InnerProbeScalesAcrossWorkers) {
   const WorkloadProfile profile = ParProfile();
   const double record_seconds = RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.cluster.instance = sim::kP3_8xLarge;  // 4 GPUs
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.costs = sim::PaperPlatformCosts();
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
@@ -82,9 +81,9 @@ TEST(ClusterReplay, WeakAndStrongInitAgree) {
   RecordOnto(&fs, profile);
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.costs = sim::PaperPlatformCosts();
 
   copts.init_mode = InitMode::kStrong;
@@ -113,9 +112,9 @@ TEST(ClusterReplay, SpeedupBoundedByLoadBalanceCeiling) {
   const WorkloadProfile profile = ParProfile(10);
   const double record_seconds = RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.costs = sim::PaperPlatformCosts();
   auto result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
@@ -131,9 +130,9 @@ TEST(ClusterReplay, MoreWorkersThanEpochsUsesEpochCount) {
   const WorkloadProfile profile = ParProfile(3);
   RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 2;  // 8 GPUs for 3 epochs
+  copts.num_workers = 8;  // 8 GPUs for 3 epochs
   copts.costs = sim::PaperPlatformCosts();
   auto result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
@@ -148,9 +147,9 @@ TEST(ClusterReplay, OuterProbeIsCheapAndParallel) {
   const WorkloadProfile profile = ParProfile();
   const double record_seconds = RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.costs = sim::PaperPlatformCosts();
   auto result = sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeOuter),
                                    &fs, copts);
@@ -169,9 +168,9 @@ TEST(ClusterReplay, MachinePricingCoversBusyWorkers) {
   const WorkloadProfile profile = ParProfile();
   RecordOnto(&fs, profile);
 
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.costs = sim::PaperPlatformCosts();
   auto result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,

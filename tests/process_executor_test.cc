@@ -15,10 +15,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "checkpoint/gc.h"
-#include "env/result_file.h"
 #include "env/scratch.h"
 #include "exec/process_executor.h"
 #include "exec/replay_executor.h"
@@ -66,23 +66,22 @@ void RecordOnto(FileSystem* fs, const WorkloadProfile& profile) {
 
 Result<exec::ProcessReplayExecutorResult> RunProcesses(
     FileSystem* fs, const WorkloadProfile& p, int partitions,
-    exec::ProcessReplayExecutorOptions opts = {}) {
-  opts.run_prefix = "run";
-  opts.num_partitions = partitions;
-  opts.init_mode = InitMode::kWeak;
-  exec::ProcessReplayExecutor executor(fs, opts);
+    exec::ProcessReplayExecutorOptions opts = {}, ReplaySpec spec = {}) {
+  spec.run_prefix = "run";
+  spec.num_workers = partitions;
+  spec.init_mode = InitMode::kWeak;
+  exec::ProcessReplayExecutor executor(fs, spec, opts);
   return executor.Run(MakeWorkloadFactory(p, kProbeInner));
 }
 
 Result<exec::ReplayExecutorResult> RunThreads(FileSystem* fs,
                                               const WorkloadProfile& p,
                                               int threads, int partitions) {
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = threads;
-  xopts.num_partitions = partitions;
+  xopts.num_workers = partitions;
   xopts.init_mode = InitMode::kWeak;
-  exec::ReplayExecutor executor(fs, xopts);
+  exec::ReplayExecutor executor(fs, xopts, {threads});
   return executor.Run(MakeWorkloadFactory(p, kProbeInner));
 }
 
@@ -94,9 +93,9 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityAcrossPartitionCounts) {
   RecordOnto(&fs, profile);
 
   // Engine 1: simulated cluster (the paper-scale model), G=4.
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   auto sim_result = sim::ClusterReplay(
       MakeWorkloadFactory(profile, kProbeInner), &fs, copts);
@@ -197,9 +196,9 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   }
 
   // Pre-GC baseline, no bucket involvement.
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   auto before = sim::ClusterReplay(
       MakeWorkloadFactory(profile, kProbeInner), &fs, copts);
@@ -225,24 +224,23 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   EXPECT_GT(sim_result->bucket_faults, 0);
   EXPECT_EQ(sim_result->merged_logs.Serialize(), baseline);
 
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
+  xopts.num_workers = 4;
   xopts.init_mode = InitMode::kWeak;
   xopts.bucket_prefix = "s3";
   xopts.bucket_rehydrate = false;
-  auto threaded = exec::ReplayExecutor(&fs, xopts)
+  auto threaded = exec::ReplayExecutor(&fs, xopts, {4})
                       .Run(MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
   EXPECT_TRUE(threaded->deferred.ok);
   EXPECT_GT(threaded->bucket_faults, 0);
   EXPECT_EQ(threaded->merged_logs.Serialize(), baseline);
 
-  exec::ProcessReplayExecutorOptions popts;
-  popts.bucket_prefix = "s3";
-  popts.bucket_rehydrate = false;
-  auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
+  ReplaySpec demoted;
+  demoted.bucket_prefix = "s3";
+  demoted.bucket_rehydrate = false;
+  auto proc = RunProcesses(&fs, profile, /*partitions=*/4, {}, demoted);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
   EXPECT_TRUE(proc->deferred.ok)
       << (proc->deferred.anomalies.empty() ? ""
@@ -251,6 +249,41 @@ TEST_F(ProcessReplayTest, ThreeEngineByteIdentityOnDemotedStore) {
   // The fault count crossed the process boundary through the framed
   // result files and matches the same-plan thread engine exactly.
   EXPECT_EQ(proc->bucket_faults, threaded->bucket_faults);
+}
+
+TEST_F(ProcessReplayTest, ConcurrentRunsReapOnlyTheirOwnChildren) {
+  // Two procs replays in one process — e.g. two wire clients replaying
+  // through one flor::Server — must each reap only their own children. A
+  // run that waited on any child would steal the other's exit statuses
+  // and fail with "waitpid failed: No child processes".
+  PosixFileSystem fs(root());
+  const WorkloadProfile profile = ProcProfile();
+  RecordOnto(&fs, profile);
+  auto threaded = RunThreads(&fs, profile, /*threads=*/4, /*partitions=*/4);
+  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+  const std::string baseline = threaded->merged_logs.Serialize();
+
+  constexpr int kRounds = 10;
+  std::vector<std::string> failures[2];
+  auto replay_rounds = [&](int caller) {
+    for (int round = 0; round < kRounds; ++round) {
+      auto proc = RunProcesses(&fs, profile, /*partitions=*/4);
+      if (!proc.ok()) {
+        failures[caller].push_back(proc.status().ToString());
+      } else if (proc->merged_logs.Serialize() != baseline) {
+        failures[caller].push_back("merged logs diverge from threads");
+      }
+    }
+  };
+  std::thread first(replay_rounds, 0);
+  std::thread second(replay_rounds, 1);
+  first.join();
+  second.join();
+  for (int caller = 0; caller < 2; ++caller) {
+    EXPECT_TRUE(failures[caller].empty())
+        << "caller " << caller << ": " << failures[caller].size() << " of "
+        << kRounds << " rounds failed; first: " << failures[caller].front();
+  }
 }
 
 TEST_F(ProcessReplayTest, SkewedPartitionsStress) {
@@ -282,9 +315,9 @@ TEST_F(ProcessReplayTest, SamplingReplayRunsSingleProcess) {
   const WorkloadProfile profile = ProcProfile(12);
   RecordOnto(&fs, profile);
 
-  exec::ProcessReplayExecutorOptions popts;
-  popts.sample_epochs = {3, 7};
-  auto proc = RunProcesses(&fs, profile, /*partitions=*/4, popts);
+  ReplaySpec sampled;
+  sampled.sample_epochs = {3, 7};
+  auto proc = RunProcesses(&fs, profile, /*partitions=*/4, {}, sampled);
   ASSERT_TRUE(proc.ok()) << proc.status().ToString();
   EXPECT_EQ(proc->processes_used, 1);
   EXPECT_EQ(proc->worker_seconds.size(), 1u);
@@ -292,12 +325,12 @@ TEST_F(ProcessReplayTest, SamplingReplayRunsSingleProcess) {
   // Probe output for exactly the sampled epochs' batches.
   EXPECT_EQ(proc->probe_entries.size(), 2u * 4u);
 
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = 4;
+  xopts.num_workers = 4;
   xopts.sample_epochs = {3, 7};
   xopts.init_mode = InitMode::kWeak;
-  auto threaded = exec::ReplayExecutor(&fs, xopts)
+  auto threaded = exec::ReplayExecutor(&fs, xopts, {4})
                       .Run(MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
   EXPECT_EQ(proc->merged_logs.Serialize(),
@@ -422,8 +455,9 @@ TEST_F(ProcessReplayTest, ChildReplayFailureReturnsPartitionStatus) {
   // before replaying: the session fails inside the child and the status
   // must cross the process boundary through the framed error file.
   const std::string run_root = root();
+  ReplaySpec sampled;
+  sampled.sample_epochs = {3};
   exec::ProcessReplayExecutorOptions popts;
-  popts.sample_epochs = {3};
   // Default max_attempts: a *clean* replay failure is deterministic and
   // must not be retried even with retry budget left.
   popts.child_before_session = [run_root](int, int) {
@@ -431,7 +465,7 @@ TEST_F(ProcessReplayTest, ChildReplayFailureReturnsPartitionStatus) {
     (void)child_fs.DeleteFile("run/logs.tsv");
     (void)child_fs.DeleteFile("run/manifest.tsv");
   };
-  auto failed = RunProcesses(&fs, profile, /*partitions=*/1, popts);
+  auto failed = RunProcesses(&fs, profile, /*partitions=*/1, popts, sampled);
   ASSERT_FALSE(failed.ok());
   EXPECT_NE(failed.status().message().find("partition 0/1"),
             std::string::npos)
@@ -768,7 +802,7 @@ TEST_F(ProcessReplayTest, TruncatedOrMutatedResultFileNeverParses) {
         << "trial " << trial << ": " << got.status().ToString();
   }
   // A missing result file is NotFound, not Corruption.
-  auto missing = ReadResultFile(&scratch_fs, "worker-9.res");
+  auto missing = scratch_fs.ReadFile("worker-9.res");
   ASSERT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound());
 }

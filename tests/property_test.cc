@@ -125,12 +125,13 @@ TEST_P(PartitionEquivalence, MergedOutputMatchesSequential) {
   }
 
   // Partitioned run.
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
-  copts.cluster.instance = {"test", gpus, 1.0};
+  copts.num_workers = gpus;  // one machine of `gpus` GPUs
   copts.costs = sim::PaperPlatformCosts();
-  auto result = sim::ClusterReplay(factory, &fs, copts);
+  sim::ClusterReplayOptions billing;
+  billing.instance = {"test", gpus, 1.0};
+  auto result = sim::ClusterReplay(factory, &fs, copts, billing);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->deferred.ok)
       << (result->deferred.anomalies.empty()

@@ -59,12 +59,11 @@ Result<exec::ReplayExecutorResult> RunExecutor(FileSystem* fs,
                                                const WorkloadProfile& p,
                                                int threads,
                                                int partitions = 4) {
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = threads;
-  xopts.num_partitions = partitions;
+  xopts.num_workers = partitions;
   xopts.init_mode = InitMode::kWeak;
-  exec::ReplayExecutor executor(fs, xopts);
+  exec::ReplayExecutor executor(fs, xopts, {threads});
   return executor.Run(MakeWorkloadFactory(p, kProbeInner));
 }
 
@@ -103,9 +102,9 @@ TEST(ReplayExecutor, AgreesWithSimulatedEngineByteForByte) {
   RecordOnto(&fs, profile);
 
   // Simulated engine on the paper's 4-GPU machine.
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   auto sim_result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
@@ -151,9 +150,9 @@ TEST(ReplayExecutor, ShardedStoreKeepsByteIdentityAcrossEnginesAndThreads) {
   // The record run really sharded the object layout.
   EXPECT_FALSE(fs.ListPrefix("run/ckpt/shard-").empty());
 
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   auto sim_result =
       sim::ClusterReplay(MakeWorkloadFactory(profile, kProbeInner), &fs,
@@ -183,17 +182,16 @@ TEST(ReplayExecutor, StrongInitMatchesWeakInit) {
   const WorkloadProfile profile = ExecProfile();
   RecordOnto(&fs, profile);
 
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
+  xopts.num_workers = 4;
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
 
   xopts.init_mode = InitMode::kStrong;
-  auto strong = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  auto strong = exec::ReplayExecutor(&fs, xopts, {4}).Run(factory);
   ASSERT_TRUE(strong.ok()) << strong.status().ToString();
   xopts.init_mode = InitMode::kWeak;
-  auto weak = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  auto weak = exec::ReplayExecutor(&fs, xopts, {4}).Run(factory);
   ASSERT_TRUE(weak.ok()) << weak.status().ToString();
 
   EXPECT_TRUE(strong->deferred.ok);
@@ -258,11 +256,11 @@ TEST(ReplayExecutor, SamplingReplayRunsSingleWorker) {
   const WorkloadProfile profile = ExecProfile(12);
   RecordOnto(&fs, profile);
 
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = 4;
+  xopts.num_workers = 4;
   xopts.sample_epochs = {3, 7};
-  exec::ReplayExecutor executor(&fs, xopts);
+  exec::ReplayExecutor executor(&fs, xopts, {4});
   auto result = executor.Run(MakeWorkloadFactory(profile, kProbeInner));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->worker_seconds.size(), 1u);

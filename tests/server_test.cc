@@ -146,6 +146,55 @@ TEST(WireTest, ResponseRoundTripsBinaryPayload) {
       << rejected.status().ToString();
 }
 
+std::string FromHex(const char* hex) {
+  std::string out;
+  for (const char* p = hex; p[0] != '\0' && p[1] != '\0'; p += 2) {
+    auto nibble = [](char c) { return c <= '9' ? c - '0' : c - 'a' + 10; };
+    out.push_back(static_cast<char>((nibble(p[0]) << 4) | nibble(p[1])));
+  }
+  return out;
+}
+
+// The exact bytes a client and server exchange. A change to the envelope,
+// the header tags or the meta layout breaks every deployed peer, so it
+// must show up here as a deliberate golden update, not slip through the
+// round-trip tests (which an encoder/decoder pair changed in lockstep
+// still passes).
+TEST(WireTest, RequestAndResponseBytesArePinned) {
+  wire::Request req;
+  req.op = "replay";
+  req.tenant = "alice";
+  req.run = "run-1";
+  req.workload = "svc-probed";
+  req.engine = "procs";
+  req.workers = 2;
+  req.loop_id = -3;
+  req.ctx = std::string("e=2\0", 4);
+  const std::string req_golden = FromHex(
+      "19024a980e666c6f7277697231097265710932944a6153566f70097265706c61790a"
+      "74656e616e7409616c6963650a72756e0972756e2d310a776f726b6c6f6164097376"
+      "632d70726f6265640a656e67696e650970726f63730a776f726b65727309320a6c6f"
+      "6f705f6964092d33b237a06704653d3200");
+  EXPECT_EQ(wire::EncodeRequest(req), req_golden);
+  auto req_back = wire::DecodeRequest(req_golden);
+  ASSERT_TRUE(req_back.ok()) << req_back.status().ToString();
+  EXPECT_EQ(req_back->engine, "procs");
+  EXPECT_EQ(req_back->loop_id, -3);
+  EXPECT_EQ(req_back->ctx, req.ctx);
+
+  wire::Response res = wire::ErrorResponse(Status::NotFound("no run"));
+  res.payload = {"k\tv", std::string("\0b", 2)};
+  const std::string res_golden = FromHex(
+      "fcb784f10e666c6f7277697231097265730934a575ffec06636f64650932c3254b75"
+      "066e6f2072756e2bceb54d036b097647949c71020062");
+  EXPECT_EQ(wire::EncodeResponse(res), res_golden);
+  auto res_back = wire::DecodeResponse(res_golden);
+  ASSERT_TRUE(res_back.ok()) << res_back.status().ToString();
+  EXPECT_TRUE(res_back->ToStatus().IsNotFound());
+  EXPECT_EQ(res_back->message, "no run");
+  EXPECT_EQ(res_back->payload, res.payload);
+}
+
 TEST(WireTest, KindMismatchIsCorruption) {
   wire::Request req;
   req.op = "query";

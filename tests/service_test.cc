@@ -47,15 +47,16 @@ using workloads::WorkloadProfile;
 // --- or none.
 static_assert(std::is_base_of_v<TierOptions, ReplayOptions>,
               "ReplayOptions must inherit the shared TierOptions");
-static_assert(std::is_base_of_v<TierOptions, ClusterPlanOptions>,
-              "ClusterPlanOptions must inherit the shared TierOptions");
-static_assert(std::is_base_of_v<TierOptions, sim::ClusterReplayOptions>,
-              "ClusterReplayOptions must inherit the shared TierOptions");
-static_assert(std::is_base_of_v<TierOptions, exec::ReplayExecutorOptions>,
-              "ReplayExecutorOptions must inherit the shared TierOptions");
-static_assert(
-    std::is_base_of_v<TierOptions, exec::ProcessReplayExecutorOptions>,
-    "ProcessReplayExecutorOptions must inherit the shared TierOptions");
+static_assert(std::is_base_of_v<TierOptions, ReplaySpec>,
+              "ReplaySpec must inherit the shared TierOptions");
+// The engines' option structs are runner knobs only: what to replay
+// (tier fields included) is declared once, in ReplaySpec.
+static_assert(!std::is_base_of_v<TierOptions, sim::ClusterReplayOptions> &&
+                  !std::is_base_of_v<TierOptions,
+                                     exec::ReplayExecutorOptions> &&
+                  !std::is_base_of_v<TierOptions,
+                                     exec::ProcessReplayExecutorOptions>,
+              "engine option structs must not redeclare the replay spec");
 
 /// Densely checkpointed sim workload (the tiered-test shape) so GC and
 /// partitioned replay have a long epoch timeline.
@@ -153,12 +154,14 @@ TEST(ServiceTest, SessionPathByteIdenticalToOneShotEntryPoints) {
   // Replay through the session on all three engines; all merged logs must
   // be byte-identical to a direct sim::ClusterReplay of the one-shot run.
   const ProgramFactory probed = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions sim_opts;
+  ReplaySpec sim_opts;
   sim_opts.run_prefix = prefix;
-  sim_opts.cluster.instance = sim::kP3_2xLarge;
-  sim_opts.cluster.num_machines = 2;
+  sim_opts.num_workers = 2;  // 2 x 1-GPU machines
   sim_opts.bucket_prefix = "s3";
-  auto direct_replay = sim::ClusterReplay(probed, &fs_direct, sim_opts);
+  sim::ClusterReplayOptions billing;
+  billing.instance = sim::kP3_2xLarge;
+  auto direct_replay =
+      sim::ClusterReplay(probed, &fs_direct, sim_opts, billing);
   ASSERT_TRUE(direct_replay.ok()) << direct_replay.status().ToString();
   ASSERT_TRUE(direct_replay->deferred.ok);
   const std::string golden_logs = direct_replay->merged_logs.Serialize();

@@ -199,9 +199,9 @@ TEST(TieredStore, TornBucketObjectIsCorruptionNeverACrash) {
 
   // A full replay that needs the torn object fails with a status (never a
   // crash) — and an intact sibling still faults in fine.
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   copts.bucket_prefix = "s3";
   auto replayed = sim::ClusterReplay(MakeWorkloadFactory(profile,
@@ -265,9 +265,9 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   RecordWithMirror(&fs, profile);
 
   auto factory = MakeWorkloadFactory(profile, kProbeInner);
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   auto before = sim::ClusterReplay(factory, &fs, copts);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
@@ -290,13 +290,12 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   EXPECT_EQ(sim_after->merged_logs.Serialize(),
             before->merged_logs.Serialize());
 
-  exec::ReplayExecutorOptions xopts;
+  ReplaySpec xopts;
   xopts.run_prefix = "run";
-  xopts.num_threads = 4;
-  xopts.num_partitions = 4;
+  xopts.num_workers = 4;
   xopts.init_mode = InitMode::kWeak;
   xopts.bucket_prefix = "s3";
-  auto real_after = exec::ReplayExecutor(&fs, xopts).Run(factory);
+  auto real_after = exec::ReplayExecutor(&fs, xopts, {4}).Run(factory);
   ASSERT_TRUE(real_after.ok()) << real_after.status().ToString();
   EXPECT_TRUE(real_after->deferred.ok);
   EXPECT_GT(real_after->bucket_faults, 0);
@@ -318,9 +317,9 @@ TEST(TieredStore, ReplayIsByteIdenticalToPreDemotionOnBothEngines) {
   RecordWithMirror(&fs2, profile);
   auto gc2 = RetireRun(&fs2, "run/manifest.tsv", "run/ckpt", policy, "s3");
   ASSERT_TRUE(gc2.ok());
-  sim::ClusterReplayOptions no_bucket;
+  ReplaySpec no_bucket;
   no_bucket.run_prefix = "run";
-  no_bucket.cluster.num_machines = 1;
+  no_bucket.num_workers = 4;  // 1 x 4-GPU machine
   no_bucket.init_mode = InitMode::kWeak;
   no_bucket.bucket_prefix = "nosuch-bucket";
   auto missing = sim::ClusterReplay(factory, &fs2, no_bucket);
@@ -522,9 +521,9 @@ TEST(TieredStore, ReconcileOrphansReclaimsBothTiers) {
   EXPECT_EQ(idempotent.local_orphans(), 0);
   EXPECT_EQ(idempotent.bucket_orphans(), 0);
 
-  sim::ClusterReplayOptions copts;
+  ReplaySpec copts;
   copts.run_prefix = "run";
-  copts.cluster.num_machines = 1;
+  copts.num_workers = 4;  // 1 x 4-GPU machine
   copts.init_mode = InitMode::kWeak;
   copts.bucket_prefix = "s3";
   auto replayed = sim::ClusterReplay(MakeWorkloadFactory(profile,
